@@ -14,6 +14,7 @@ from repro.collision.slots import SlotCollisionTable, no_singleton_table
 from repro.collision.poisson import mu_poisson
 from repro.models.cam import CollisionAwareChannel
 from repro.network.deployment import DiskDeployment
+from tests.channel_oracles import cam_counts_reference
 
 
 def test_mu_table_build_256(benchmark):
@@ -70,12 +71,12 @@ def test_cam_flooding_resolve_rho140(benchmark, dense_flood):
 
 
 def test_cam_flooding_resolve_rho140_reference(benchmark, dense_flood):
-    """The per-transmitter loop kernel, kept as the comparison baseline."""
+    """The per-transmitter loop kernel (the tests' oracle), kept as the
+    comparison baseline."""
     channel, tx = dense_flood
+    topo = channel.topology
     counts, _ = benchmark.pedantic(
-        lambda: channel._counts_and_senders_reference(
-            tx, channel.topology.indptr, channel.topology.indices
-        ),
+        lambda: cam_counts_reference(tx, topo.indptr, topo.indices, topo.n_nodes),
         rounds=3,
         iterations=1,
     )

@@ -1,12 +1,13 @@
-"""Replication-batched engine vs per-run loop.
+"""One replication block vs the same runs one seed at a time.
 
-The batched engine's reason to exist: a 32-replication block pays for
+The stacked engine's reason to batch: a 32-replication block pays for
 one stacked topology build and one channel-resolution pass per slot
-instead of 32, so the block must beat 32 sequential
-:func:`~repro.sim.engine.run_broadcast` calls by a wide margin (the
-acceptance bar is 3x at flooding rho=140).  Timings land in
-``BENCH_perf.json`` via ``--perf-json``; the per-run seed floor for
-this scenario is recorded there as
+instead of 32, so the block must beat 32 one-seed
+:func:`~repro.sim.engine.run_broadcast` calls of the same engine (each a
+one-replication block) by a wide margin.  Timings land in
+``BENCH_perf.json`` via ``--perf-json``; ``check_perf.py`` gates each
+block against its one-seed partner from the same run.  The historical
+per-run seed floor for this scenario is recorded there as
 ``bench_perf_obs.py::test_tracing_disabled_flooding_rho140``
 (0.117 s/run at the time the batched path was added).
 """

@@ -63,17 +63,21 @@ def _key(i: int = 0) -> str:
 
 
 def test_serve_memory_tier_get(benchmark, one_run):
+    """The memory-tier lookup alone: the key is computed once, outside
+    the timed call."""
+    key = _key()
     tier = MemoryTier(max_entries=1024)
-    tier.put(_key(), list(one_run))
-    got = benchmark(lambda: tier.get(_key()))
+    tier.put(key, list(one_run))
+    got = benchmark(lambda: tier.get(key))
     assert got is not None
 
 
 def test_serve_read_through_warm_get(benchmark, tmp_path, one_run):
+    key = _key()
     store = ReadThroughStore(DiskStore(tmp_path / "store"), max_entries=64)
-    store.put(_key(), one_run)
-    store.get(_key())
-    got = benchmark(lambda: store.get(_key()))
+    store.put(key, one_run)
+    store.get(key)
+    got = benchmark(lambda: store.get(key))
     assert len(got) == 1
 
 

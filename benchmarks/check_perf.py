@@ -9,10 +9,10 @@ merged via ``--perf-json``).  Two baseline forms are supported:
   the optimized path has enough headroom that machine-to-machine
   variance cannot produce false failures;
 * ``"baseline:<other-key>"`` — resolves to the *same run's* current
-  median of ``<other-key>``, guarding a relative claim (e.g. the
-  replication-batched engine must stay faster than the per-run loop,
-  the frontier search faster than the dense grid) independent of the
-  machine.
+  median of ``<other-key>``, guarding a relative claim (e.g. a
+  replication block must stay faster than the same runs one seed at a
+  time, the frontier search faster than the dense grid) independent of
+  the machine.
 
 A tracked key missing from ``current`` fails the guard: silently
 dropping a benchmark is how regressions hide.

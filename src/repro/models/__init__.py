@@ -1,8 +1,9 @@
 """Link-level communication models: packets, costs, CFM and CAM channels.
 
 This package implements Sec. 3 of the paper: the formal objects of the
-abstract network model.  A :class:`~repro.models.channel.Channel`
-resolves a set of concurrent transmissions into per-receiver deliveries;
+abstract network model.  A channel resolves a set of concurrent
+transmissions into per-receiver deliveries
+(:class:`~repro.models.channel.Delivery`);
 :class:`~repro.models.cfm.CollisionFreeChannel` implements CFM (every
 transmission reaches every neighbor) and
 :class:`~repro.models.cam.CollisionAwareChannel` implements CAM
@@ -12,7 +13,7 @@ transmission reaches every neighbor) and
 
 from repro.models.packet import Packet
 from repro.models.costs import CostModel, EnergyLedger
-from repro.models.channel import Channel, Delivery
+from repro.models.channel import Delivery
 from repro.models.cfm import CollisionFreeChannel
 from repro.models.cam import CollisionAwareChannel
 from repro.models.tdma import TdmaSchedule, distance2_coloring, run_tdma_flooding
@@ -21,7 +22,6 @@ __all__ = [
     "Packet",
     "CostModel",
     "EnergyLedger",
-    "Channel",
     "Delivery",
     "CollisionFreeChannel",
     "CollisionAwareChannel",

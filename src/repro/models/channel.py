@@ -1,21 +1,22 @@
-"""The slotted channel abstraction shared by CFM and CAM.
+"""The slot outcome and neighbor gather shared by CFM and CAM.
 
 A channel answers one question per slot: *given who transmitted, who
-received what?*  Both engines (the vectorized slot-stepper and the
-object-level DES) delegate that question here, so the collision
-semantics of Sec. 3.2 live in exactly one place per model.
+received what?*  Each model has one channel class
+(:class:`~repro.models.cfm.BatchCollisionFreeChannel`,
+:class:`~repro.models.cam.BatchCollisionAwareChannel`) that resolves a
+slot over any CSR topology — one deployment's
+:class:`~repro.network.topology.Topology` or ``R`` stacked ones — and
+returns a :class:`Delivery`; the collision semantics of Sec. 3.2 live
+in exactly one place per model.
 """
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro.network.topology import Topology
-
-__all__ = ["Delivery", "Channel", "gather_neighbors"]
+__all__ = ["Delivery", "gather_neighbors"]
 
 
 def gather_neighbors(
@@ -25,9 +26,9 @@ def gather_neighbors(
 
     One fancy index gathers every transmitter's neighbor slice;
     ``receivers[k]`` hears ``senders[k]``.  This is the shared front end
-    of both collision kernels — per-run and replication-batched alike —
-    because a stacked CSR with disjoint per-replication id ranges makes
-    the gather over ``R`` topologies the same operation as over one.
+    of both collision kernels; a stacked CSR with disjoint
+    per-replication id ranges makes the gather over ``R`` topologies the
+    same operation as over one.
 
     The flat positions are built as a cumsum of unit steps with a jump
     to the next slice start at each boundary (cheaper than
@@ -72,6 +73,12 @@ class Delivery:
     collided:
         Node ids that heard two or more concurrent transmissions and
         therefore received nothing (empty under CFM).
+
+    Transmitting nodes can appear among the receivers: the paper's link
+    model does not impose half-duplex radios, and the analytical
+    framework likewise lets a broadcasting node be counted in its
+    neighbors' contention.  Engines that want half-duplex semantics
+    filter the delivery themselves.
     """
 
     receivers: np.ndarray
@@ -81,28 +88,3 @@ class Delivery:
     def __post_init__(self) -> None:
         if self.receivers.shape != self.senders.shape:
             raise ValueError("receivers and senders must align")
-
-
-class Channel(ABC):
-    """Resolves concurrent transmissions into per-receiver deliveries."""
-
-    def __init__(self, topology: Topology) -> None:
-        self.topology = topology
-
-    @abstractmethod
-    def resolve_slot(self, transmitters: np.ndarray) -> Delivery:
-        """Deliveries resulting from ``transmitters`` all sending in one slot.
-
-        Parameters
-        ----------
-        transmitters:
-            Unique node ids transmitting in this slot.
-
-        Notes
-        -----
-        Transmitting nodes can appear among the receivers: the paper's
-        link model does not impose half-duplex radios, and the
-        analytical framework likewise lets a broadcasting node be
-        counted in its neighbors' contention.  Engines that want
-        half-duplex semantics filter the delivery themselves.
-        """

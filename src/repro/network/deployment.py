@@ -114,6 +114,11 @@ class DiskDeployment:
         return self.n_nodes - 1
 
     @property
+    def link_radius(self) -> float:
+        """Radius the communication graph is built with (``radius``)."""
+        return self.radius
+
+    @property
     def field_radius(self) -> float:
         """Field radius ``P * r``."""
         return self.n_rings * self.radius
@@ -135,7 +140,7 @@ class DiskDeployment:
 
     def topology(self, *, carrier_radius: float | None = None) -> Topology:
         """Build the unit-disk communication graph for this deployment."""
-        return Topology(self.positions, self.radius, carrier_radius=carrier_radius)
+        return Topology(self.positions, self.link_radius, carrier_radius=carrier_radius)
 
 
 class DeploymentBatch:
@@ -150,8 +155,8 @@ class DeploymentBatch:
 
     Bit-identity contract: :meth:`sample` draws each replication with
     *its own* generator via :meth:`DiskDeployment.sample`, consuming
-    exactly the random values the per-run path would — the stacking is
-    a storage layout, never a change to the random stream.  Populations
+    exactly the random values a lone draw would — the stacking is a
+    storage layout, never a change to the random stream.  Populations
     may differ across replications (``"poisson"``), which is why the
     flat + offsets layout is primary and the ``(R, n_max)`` view is
     padding over it.
@@ -163,12 +168,19 @@ class DeploymentBatch:
             raise ValueError("DeploymentBatch needs at least one deployment")
         first = deployments[0]
         for dep in deployments[1:]:
-            if dep.radius != first.radius or dep.n_rings != first.n_rings:
+            if (
+                dep.radius != first.radius
+                or dep.link_radius != first.link_radius
+                or dep.n_rings != first.n_rings
+            ):
                 raise ValueError(
                     "all deployments in a batch must share radius and n_rings"
                 )
         self.deployments = deployments
         self.radius = first.radius
+        #: Radius the stacked graph is built with; each deployment type
+        #: decides its own (see ``link_radius`` on the deployments).
+        self.link_radius = first.link_radius
         self.n_rings = first.n_rings
         counts = np.array([dep.n_nodes for dep in deployments], dtype=np.int64)
         self.node_offsets = np.zeros(len(deployments) + 1, dtype=np.int64)
@@ -191,7 +203,7 @@ class DeploymentBatch:
 
         Each replication consumes random values from its own generator
         in exactly the order :meth:`DiskDeployment.sample` would, so a
-        batch draw is bit-identical to ``R`` independent per-run draws.
+        batch draw is bit-identical to ``R`` independent draws.
         """
         return cls(
             [
@@ -248,7 +260,7 @@ class DeploymentBatch:
         return StackedTopology(
             self.positions,
             self.node_offsets,
-            self.radius,
+            self.link_radius,
             carrier_radius=carrier_radius,
         )
 

@@ -72,6 +72,17 @@ class GridDeployment:
         return self.spacing
 
     @property
+    def link_radius(self) -> float:
+        """Radius the lattice graph is built with.
+
+        One spacing, padded so the exact-distance axial links survive
+        float rounding; both :meth:`topology` and the engine's stacked
+        build (:class:`~repro.network.deployment.DeploymentBatch`) read
+        it here.
+        """
+        return self.spacing * 1.0001
+
+    @property
     def n_nodes(self) -> int:
         """Total node count (``side**2``)."""
         return self.side**2
@@ -105,8 +116,4 @@ class GridDeployment:
 
     def topology(self, *, carrier_radius: float | None = None) -> Topology:
         """The 4-neighbor lattice graph (radius = spacing)."""
-        return Topology(
-            self.positions,
-            self.spacing * 1.0001,  # float-safe: include exact-distance links
-            carrier_radius=carrier_radius,
-        )
+        return Topology(self.positions, self.link_radius, carrier_radius=carrier_radius)

@@ -3,10 +3,12 @@
 The communication graph of assumption 2 connects every pair of nodes
 within transmission radius ``r``.  For the vectorized engine we need the
 adjacency as flat CSR arrays (``indptr``/``indices``), and we need to
-build it fast for thousands of Monte-Carlo replications; a grid-bucket
-spatial index with cell size ``r`` reduces candidate pairs to the nine
-surrounding cells, and all distance work happens in per-cell-pair numpy
-blocks rather than per node.
+build it fast for thousands of Monte-Carlo replications.  One builder
+(:func:`_build_field_csr`) does all of it: points are sorted by a
+grid-bucket key with cell size ``r``, so each point's candidates in the
+nine surrounding cells are contiguous runs found by ``searchsorted``,
+and every distance test happens in flat numpy arrays with no Python
+loop over cells.
 
 The same machinery builds the ``carrier_radius`` graph of Appendix A on
 demand (neighbors within carrier-sense range but *also* within it —
@@ -17,12 +19,9 @@ For replication-batched Monte-Carlo, :class:`StackedTopology` stores
 ``R`` independent deployments as one CSR structure over globally
 renumbered nodes (replication ``r`` owns ids
 ``[node_offsets[r], node_offsets[r+1])``), so a single gather/bincount
-pass serves every replication's slot at once.  Its builder
-(:func:`build_disk_graph_csr_stacked`) folds the replication index into
-the grid-cell key and generates candidate pairs with sorted-key
-``searchsorted`` runs instead of a Python loop over cells — one
-vectorized pass over all ``R`` point sets, with cross-replication edges
-impossible by construction.
+pass serves every replication's slot at once; cross-replication edges
+are impossible by construction.  A :class:`Topology` is the ``R = 1``
+case, and the channels accept either.
 """
 
 from __future__ import annotations
@@ -41,23 +40,6 @@ __all__ = [
 ]
 
 
-def _grid_cells(positions: np.ndarray, cell: float) -> tuple[np.ndarray, dict]:
-    """Assign each point to a grid cell; return cell keys and an index map."""
-    ij = np.floor(positions / cell).astype(np.int64)
-    ij -= ij.min(axis=0, keepdims=True)
-    width = int(ij[:, 0].max()) + 2 if len(ij) else 1
-    keys = ij[:, 0] + ij[:, 1] * width
-    buckets: dict[int, np.ndarray] = {}
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    bounds = np.flatnonzero(np.diff(sorted_keys)) + 1
-    starts = np.concatenate(([0], bounds))
-    ends = np.concatenate((bounds, [len(keys)]))
-    for s, e in zip(starts, ends, strict=True):
-        buckets[int(sorted_keys[s])] = order[s:e]
-    return keys, {"buckets": buckets, "width": width}
-
-
 def build_disk_graph_csr(
     positions: np.ndarray, radius: float
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -65,62 +47,16 @@ def build_disk_graph_csr(
 
     Edges connect distinct points at Euclidean distance ``<= radius``;
     the graph is symmetric and has no self-loops.  Each row's neighbor
-    list is sorted ascending.
+    list is sorted ascending.  Built by :func:`_build_field_csr`; the
+    column ids come back as ``int64``.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
         raise ValueError(f"positions must be (n, 2), got {positions.shape}")
     radius = check_positive("radius", radius)
-    n = positions.shape[0]
-    if n == 0:
+    if positions.shape[0] == 0:
         return np.zeros(1, dtype=np.int64), np.zeros(0, dtype=np.int64)
-
-    keys, grid = _grid_cells(positions, radius)
-    buckets: dict[int, np.ndarray] = grid["buckets"]
-    width: int = grid["width"]
-    r2 = radius * radius
-
-    src_parts: list[np.ndarray] = []
-    dst_parts: list[np.ndarray] = []
-    # Scan unordered cell pairs once: (0,0) same-cell plus 4 of the 8
-    # neighbor offsets; symmetry supplies the rest.
-    half_offsets = (0, (1, 0), (0, 1), (1, 1), (-1, 1))
-    for key, members in buckets.items():
-        pos_a = positions[members]
-        for off in half_offsets:
-            if off == 0:
-                # Same cell: strict upper-triangle pairs.
-                d2 = ((pos_a[:, None, :] - pos_a[None, :, :]) ** 2).sum(-1)
-                ii, jj = np.triu_indices(len(members), k=1)
-                hit = d2[ii, jj] <= r2
-                src_parts.append(members[ii[hit]])
-                dst_parts.append(members[jj[hit]])
-                continue
-            nb_key = key + off[0] + off[1] * width
-            other = buckets.get(nb_key)
-            if other is None:
-                continue
-            pos_b = positions[other]
-            d2 = ((pos_a[:, None, :] - pos_b[None, :, :]) ** 2).sum(-1)
-            ii, jj = np.nonzero(d2 <= r2)
-            src_parts.append(members[ii])
-            dst_parts.append(other[jj])
-
-    if src_parts:
-        src = np.concatenate(src_parts)
-        dst = np.concatenate(dst_parts)
-    else:
-        src = np.zeros(0, dtype=np.int64)
-        dst = np.zeros(0, dtype=np.int64)
-    # Symmetrize and build CSR.
-    rows = np.concatenate((src, dst))
-    cols = np.concatenate((dst, src))
-    order = np.lexsort((cols, rows))
-    rows = rows[order]
-    cols = cols[order]
-    counts = np.bincount(rows, minlength=n)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    indptr, cols = _build_field_csr(positions, radius)
     return indptr, cols.astype(np.int64)
 
 
@@ -148,10 +84,9 @@ def _build_field_csr(
 ) -> tuple[np.ndarray, np.ndarray]:
     """One field's CSR adjacency via offset-searchsorted candidate runs.
 
-    Same edge set and neighbor order as :func:`build_disk_graph_csr`,
-    but with no Python loop over grid cells: points are sorted by cell
-    key once, each of the five half-offsets resolves all its candidate
-    pairs with two ``searchsorted`` calls plus one flat-run expansion,
+    No Python loop over grid cells: points are sorted by cell key once,
+    each of the five half-offsets resolves all its candidate pairs with
+    two ``searchsorted`` calls plus one flat-run expansion,
     and the final CSR comes from an in-place value sort of packed
     ``row * (n + 1) + col`` keys (each directed edge is unique, so the
     packed keys are too, and sorting values beats argsort + gathers).
@@ -178,7 +113,7 @@ def _build_field_csr(
     src_parts: list[np.ndarray] = []
     dst_parts: list[np.ndarray] = []
     # Unordered cell pairs once: same-cell plus 4 of the 8 neighbor
-    # offsets; symmetry supplies the rest (as in the per-run builder).
+    # offsets; symmetry supplies the rest.
     for di, dj in ((0, 0), (1, 0), (0, 1), (1, 1), (-1, 1)):
         delta = dj * width + di
         if delta == 0:
@@ -246,14 +181,12 @@ def build_disk_graph_csr_stacked(
 
     Notes
     -----
-    Each replication goes through :func:`_build_field_csr` — the
-    offset-searchsorted builder with no per-cell Python loop — and the
+    Each replication goes through :func:`_build_field_csr` and the
     per-replication CSR blocks are spliced together with the global id
     offsets applied.  Working one replication at a time is deliberate:
     a single replication's candidate/edge arrays fit in cache, whereas
     one flat pass over all ``R`` replications pushes every gather and
-    the final edge sort out to main memory and ends up slower than the
-    per-run builder it is meant to beat.
+    the final edge sort out to main memory.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 2 or positions.shape[1] != 2:
@@ -372,19 +305,7 @@ class Topology:
     # ------------------------------------------------------------------
     def is_connected(self) -> bool:
         """Whether the transmission graph is a single connected component."""
-        n = self.n_nodes
-        if n == 0:
-            return True
-        seen = np.zeros(n, dtype=bool)
-        stack = [0]
-        seen[0] = True
-        while stack:
-            u = stack.pop()
-            for v in self.neighbors(u):
-                if not seen[v]:
-                    seen[v] = True
-                    stack.append(int(v))
-        return bool(seen.all())
+        return self.n_nodes == 0 or bool(self.reachable_from(0).all())
 
     def reachable_from(self, node: int) -> np.ndarray:
         """Boolean mask of nodes reachable from ``node`` in the graph."""
@@ -401,7 +322,10 @@ class Topology:
         return seen
 
     def to_networkx(self):
-        """Export to a :class:`networkx.Graph` with ``pos`` node attributes."""
+        """Export to a :class:`networkx.Graph` with ``pos`` node attributes.
+
+        Needs the optional ``graph`` extra (``pip install repro[graph]``).
+        """
         import networkx as nx
 
         g = nx.Graph()
@@ -421,10 +345,12 @@ class _StackedRepView(Topology):
     """One replication of a :class:`StackedTopology` as a `Topology`.
 
     The local ``indptr`` is a cheap re-based slice of the stacked one;
-    the local ``indices`` (the full edge list shifted back to local
-    ids) is only materialized if something actually reads it — most
-    policies never do, and the batched engine resolves slots on the
-    stacked structure directly.
+    the local ``indices`` (the replication's edge list shifted back to
+    local ids) is only materialized if something actually reads it —
+    most policies never do, and the engine resolves slots on the stacked
+    structure directly.  The view keeps array slices, never the stack
+    itself, so a stack and its views form no reference cycle and are
+    freed as soon as the engine drops them.
     """
 
     def __init__(self, stacked: "StackedTopology", rep: int) -> None:
@@ -436,17 +362,14 @@ class _StackedRepView(Topology):
         self._carrier_csr = None
         e0 = int(stacked.indptr[lo])
         self.indptr = stacked.indptr[lo : hi + 1] - e0
-        self._stacked = stacked
+        self._indices_global = stacked.indices[e0 : int(stacked.indptr[hi])]
         self._lo = lo
-        self._hi = hi
         self._indices_local: np.ndarray | None = None
 
     @property
     def indices(self) -> np.ndarray:
-        e0 = int(self._stacked.indptr[self._lo])
-        e1 = int(self._stacked.indptr[self._hi])
         if self._indices_local is None:
-            self._indices_local = self._stacked.indices[e0:e1] - self._lo
+            self._indices_local = self._indices_global - self._lo
         return self._indices_local
 
 
@@ -522,12 +445,8 @@ class StackedTopology:
 
     def rep_slice(self, rep: int) -> tuple[np.ndarray, np.ndarray]:
         """Replication ``rep``'s CSR adjacency in *local* node ids."""
-        lo = int(self.node_offsets[rep])
-        hi = int(self.node_offsets[rep + 1])
-        e0 = int(self.indptr[lo])
-        indptr_local = self.indptr[lo : hi + 1] - e0
-        indices_local = self.indices[e0 : int(self.indptr[hi])] - lo
-        return indptr_local, indices_local
+        view = self.rep_topology(rep)
+        return view.indptr, view.indices
 
     def rep_topology(self, rep: int) -> Topology:
         """A per-replication :class:`Topology` view (cached, lazy)."""

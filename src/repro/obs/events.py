@@ -19,10 +19,10 @@ agree on field names and semantics without schema negotiation:
     The execution reached quiescence; carries the headline totals of the
     corresponding :class:`~repro.sim.results.RunResult`.
 ``ChannelDelivery``
-    Low-level channel record emitted by
-    :meth:`~repro.models.channel.Channel.resolve_slot` implementations
-    (CAM/CFM), without phase context — useful when driving a channel
-    outside an engine.
+    Low-level channel record emitted by the vectorized engine just
+    before each ``SlotResolved``: what the CAM/CFM channel delivered to
+    one replication, counted before half-duplex filtering and without
+    phase context.
 ``StoreAccess``
     One result-store operation by the crash-safe scheduler
     (:mod:`repro.store.scheduler`): a cache hit/miss, a put of freshly
@@ -119,7 +119,11 @@ class RunComplete:
 
 @dataclass(frozen=True)
 class ChannelDelivery:
-    """One channel-level slot resolution (no phase context)."""
+    """One replication's channel-level slot resolution (no phase context).
+
+    ``n_rx`` counts clean receptions as the channel resolved them, before
+    any half-duplex filtering by the engine.
+    """
 
     model: str
     n_tx: int

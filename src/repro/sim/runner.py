@@ -32,7 +32,6 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import progress as obs_progress
 from repro.obs import provenance as obs_provenance
 from repro.obs import spans as obs_spans
-from repro.obs import trace as obs_trace
 from repro.protocols.base import RelayPolicy
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
@@ -53,10 +52,10 @@ StoreLike = Union["StoreBackend", str, "os.PathLike[str]", None]
 #: Accepted forms of the ``manifest_dir=`` argument.
 PathLike = Union[str, "os.PathLike[str]", None]
 
-#: Replications dispatched per pool task when the batched engine is
-#: eligible (``engine="vector"``, no tracer attached) and the caller
-#: left ``block_size=None``.  Matches the paper's ~30 runs per grid
-#: point, so a whole point usually advances as one stacked update.
+#: Replications dispatched per pool task when ``engine="vector"`` and
+#: the caller left ``block_size=None``.  Matches the paper's ~30 runs
+#: per grid point, so a whole point usually advances as one stacked
+#: update.
 DEFAULT_BLOCK_SIZE = 32
 
 
@@ -113,15 +112,14 @@ def _execute_block(tasks: Sequence[tuple]) -> list[RunResult]:
 
 
 def _resolve_block_size(block_size: int | None, engine: str) -> int:
-    """Effective replication-block size; ``0`` selects the per-run path.
+    """Effective replication-block size; ``0`` dispatches run by run.
 
-    The batched engine only stands in for ``engine="vector"`` and only
-    when no tracer is attached: traced runs go through
-    :func:`~repro.sim.engine.run_broadcast` so each replication reports
-    its own per-slot event stream (results are bit-identical either
-    way; see the telemetry-neutrality tests).
+    Blocks only apply to ``engine="vector"``.  ``0`` and ``1`` both mean
+    one run per pool task, which :func:`_execute` runs as a
+    one-replication block of the same engine — so results and traced
+    event streams are identical for every setting.
     """
-    if engine != "vector" or obs_trace.get_tracer().enabled:
+    if engine != "vector":
         return 0
     if block_size is None:
         return DEFAULT_BLOCK_SIZE
@@ -260,14 +258,12 @@ def replicate(
         With batching, a pool task is one replication *block*.
     block_size:
         Replications advanced per
-        :func:`~repro.sim.engine.run_broadcast_batch` block.  ``None``
-        (default) picks :data:`DEFAULT_BLOCK_SIZE` when the batched
-        engine is eligible; ``0`` (or ``1``) forces the per-run path.
-        The batched path only stands in for ``engine="vector"`` with no
-        tracer attached — traced runs always use
-        :func:`~repro.sim.engine.run_broadcast` so each replication
-        reports its own event stream.  Results are bit-identical for
-        every setting; only wall-clock changes.
+        :func:`~repro.sim.engine.run_broadcast_batch` block
+        (``engine="vector"`` only).  ``None`` (default) picks
+        :data:`DEFAULT_BLOCK_SIZE`; ``0`` (or ``1``) dispatches one run
+        per pool task.  Results, and each replication's traced event
+        stream, are bit-identical for every setting; only wall-clock
+        changes.
     progress:
         If true, print throttled progress/ETA lines to stderr via
         :class:`repro.obs.progress.SweepProgress`.
@@ -466,8 +462,8 @@ def sweep_grid(
         engine block.  Blocks never span grid points (each point has
         its own policy and config), so a point's ``replications`` runs
         form ``ceil(replications / block_size)`` pool tasks.  Store
-        keys and payloads stay per run, bit-identical to the per-run
-        path.
+        keys and payloads stay per run, bit-identical for every block
+        size.
 
     Returns
     -------

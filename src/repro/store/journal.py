@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import os
+import threading
 from pathlib import Path
 from typing import IO, Iterator
 
@@ -55,28 +56,43 @@ class FileLock:
     """Advisory exclusive lock on a file, via ``fcntl.flock``.
 
     Guards a shard's journal-append + index-mutation critical section
-    across *processes* (two schedulers writing the same shard).  The
-    lock file itself carries no data; holding the open descriptor
-    locked is the whole protocol.  Reentrant use within one process is
-    not supported — hold the lock for the duration of one put/delete.
-    On platforms without ``fcntl`` the lock degrades to a no-op (entry
-    writes are individually atomic either way; only journal-line
-    interleaving protection is lost).
+    across *processes* (two schedulers writing the same shard) and
+    across *threads* of one process, which share this one lock object
+    per shard: an in-process mutex is taken before the flock, so a
+    second thread waits for the holder instead of failing.  The lock
+    file itself carries no data; holding the open descriptor locked is
+    the whole protocol.  Reentrant use by the holding thread raises
+    :class:`~repro.errors.StoreError` — hold the lock for the duration
+    of one put/delete.  On platforms without ``fcntl`` the flock half
+    degrades to a no-op (entry writes are individually atomic either
+    way; only cross-process journal-line interleaving protection is
+    lost).
     """
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
         self._fd: int | None = None
+        self._mutex = threading.Lock()
+        self._owner: int | None = None
 
     def acquire(self) -> None:
-        if self._fd is not None:
+        if self._owner == threading.get_ident():
             raise StoreError(f"lock at {self.path} is already held")
-        self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
-        if fcntl is not None:
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
+        self._mutex.acquire()
+        try:
+            self._fd = os.open(self.path, os.O_CREAT | os.O_RDWR, 0o644)
+            if fcntl is not None:
+                fcntl.flock(self._fd, fcntl.LOCK_EX)
+        except BaseException:
+            if self._fd is not None:
+                os.close(self._fd)
+                self._fd = None
+            self._mutex.release()
+            raise
+        self._owner = threading.get_ident()
 
     def release(self) -> None:
-        if self._fd is None:
+        if self._fd is None or self._owner != threading.get_ident():
             return
         try:
             if fcntl is not None:
@@ -84,6 +100,8 @@ class FileLock:
         finally:
             os.close(self._fd)
             self._fd = None
+            self._owner = None
+            self._mutex.release()
 
     @property
     def held(self) -> bool:

@@ -1,20 +1,22 @@
 """Vectorized CAM slot kernel vs the loop-based reference.
 
-`CollisionAwareChannel._counts_and_senders` gathers every transmitter's
-CSR neighbor slice in one fancy index and accumulates with bincount;
-`_counts_and_senders_reference` is the per-transmitter loop it replaced.
-These tests pin the two to *exact* equality on randomized topologies and
-transmitter sets, including the degenerate shapes the gather has to get
-right (empty slices, contiguous flooding, unsorted input), and check the
-full `resolve_slot` Delivery through both CSR graphs.
+`counts_and_senders` gathers every transmitter's CSR neighbor slice in
+one fancy index and accumulates with bincount;
+`tests.channel_oracles.cam_counts_reference` is the per-transmitter
+loop it replaced.  These tests pin the two to *exact* equality on
+randomized topologies and transmitter sets, including the degenerate
+shapes the gather has to get right (empty slices, contiguous flooding,
+unsorted input), and check the full `resolve_slot` Delivery through
+both CSR graphs.
 """
 
 import numpy as np
 import pytest
 
-from repro.models.cam import CollisionAwareChannel
+from repro.models.cam import CollisionAwareChannel, counts_and_senders
 from repro.network.deployment import DiskDeployment
 from repro.network.topology import Topology
+from tests.channel_oracles import cam_counts_reference, cam_resolve_reference
 
 
 def random_topology(rng, n, radius=0.35, carrier=None):
@@ -23,8 +25,9 @@ def random_topology(rng, n, radius=0.35, carrier=None):
 
 
 def assert_kernels_agree(channel, tx, indptr, indices):
-    fast = channel._counts_and_senders(tx, indptr, indices)
-    slow = channel._counts_and_senders_reference(tx, indptr, indices)
+    n = channel.topology.n_nodes
+    fast = counts_and_senders(tx, indptr, indices, n)
+    slow = cam_counts_reference(tx, indptr, indices, n)
     np.testing.assert_array_equal(fast[0], slow[0])
     np.testing.assert_array_equal(fast[1], slow[1])
     assert fast[0].dtype == slow[0].dtype
@@ -91,13 +94,13 @@ class TestResolveSlotDelivery:
             carrier_radius=2.0 * deployment.radius if carrier_sense else None
         )
         channel = CollisionAwareChannel(topo, carrier_sense=carrier_sense)
-        reference = CollisionAwareChannel(topo, carrier_sense=carrier_sense)
-        reference._counts_and_senders = reference._counts_and_senders_reference
         for _ in range(5):
             k = int(rng.integers(0, topo.n_nodes // 2))
             tx = rng.choice(topo.n_nodes, size=k, replace=False)
             fast = channel.resolve_slot(tx)
-            slow = reference.resolve_slot(tx)
-            np.testing.assert_array_equal(fast.receivers, slow.receivers)
-            np.testing.assert_array_equal(fast.senders, slow.senders)
-            np.testing.assert_array_equal(fast.collided, slow.collided)
+            receivers, senders, collided = cam_resolve_reference(
+                topo, tx, carrier_sense=carrier_sense
+            )
+            np.testing.assert_array_equal(fast.receivers, receivers)
+            np.testing.assert_array_equal(fast.senders, senders)
+            np.testing.assert_array_equal(fast.collided, collided)

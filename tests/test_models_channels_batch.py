@@ -1,10 +1,11 @@
-"""Batch channels against the per-replication reference.
+"""Channels over a stack against the per-replication loop oracles.
 
-A batch channel resolving one slot over the stacked global id space
-must produce exactly the concatenation (with offsets applied) of what
-each replication's ordinary channel produces on the same local
-transmitter sets — because the blocks are disjoint, the single
-bincount pass cannot mix them.
+A channel resolving one slot over the stacked global id space must
+produce exactly the concatenation (with offsets applied) of what the
+loop-based reference (:mod:`tests.channel_oracles`) resolves on each
+replication's own topology for the same local transmitter sets —
+because the blocks are disjoint, the single bincount pass cannot mix
+them.  The model-name aliases are the same class objects.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from repro.models.cam import (
 from repro.models.cfm import BatchCollisionFreeChannel, CollisionFreeChannel
 from repro.models.channel import gather_neighbors
 from repro.network.deployment import DeploymentBatch
+from tests.channel_oracles import cam_resolve_reference, cfm_resolve_reference
 
 SEED = 20050113
 
@@ -46,16 +48,16 @@ def _random_tx(batch, rng):
     return np.sort(np.concatenate(parts).astype(np.int64))
 
 
-def _reference_delivery(batch, make_channel, tx_global):
-    """Per-replication channels, outputs re-offset into global ids."""
+def _reference_delivery(batch, resolve, tx_global):
+    """Per-replication oracle resolutions, re-offset into global ids."""
     recv, send, coll = [], [], []
     for r, dep in enumerate(batch.deployments):
         lo, hi = int(batch.node_offsets[r]), int(batch.node_offsets[r + 1])
         local_tx = tx_global[(tx_global >= lo) & (tx_global < hi)] - lo
-        d = make_channel(dep.topology()).resolve_slot(local_tx)
-        recv.append(d.receivers + lo)
-        send.append(d.senders + lo)
-        coll.append(d.collided + lo)
+        receivers, senders, collided = resolve(dep.topology(), local_tx)
+        recv.append(receivers + lo)
+        send.append(senders + lo)
+        coll.append(collided + lo)
     return (
         np.concatenate(recv),
         np.concatenate(send),
@@ -70,6 +72,11 @@ def assert_delivery_matches(got, ref):
     assert np.array_equal(got.collided, collided)
 
 
+def test_model_names_alias_the_merged_classes():
+    assert CollisionAwareChannel is BatchCollisionAwareChannel
+    assert CollisionFreeChannel is BatchCollisionFreeChannel
+
+
 class TestBatchCollisionAware:
     @pytest.mark.parametrize("carrier_sense", [False, True], ids=["plain", "carrier"])
     def test_matches_per_replication(self, batch, stacked, carrier_sense):
@@ -79,7 +86,7 @@ class TestBatchCollisionAware:
             tx = _random_tx(batch, rng)
             ref = _reference_delivery(
                 batch,
-                lambda t: CollisionAwareChannel(t, carrier_sense=carrier_sense),
+                lambda t, x: cam_resolve_reference(t, x, carrier_sense=carrier_sense),
                 tx,
             )
             assert_delivery_matches(channel.resolve_slot(tx), ref)
@@ -104,7 +111,7 @@ class TestBatchCollisionFree:
         rng = np.random.default_rng(11)
         for _ in range(10):
             tx = _random_tx(batch, rng)
-            ref = _reference_delivery(batch, CollisionFreeChannel, tx)
+            ref = _reference_delivery(batch, cfm_resolve_reference, tx)
             assert_delivery_matches(channel.resolve_slot(tx), ref)
 
     def test_no_collisions_ever(self, batch, stacked):

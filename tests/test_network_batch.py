@@ -3,8 +3,8 @@
 Pins the layout contracts: a :class:`DeploymentBatch` draw is
 bit-identical to ``R`` independent per-run draws, the padded ``(R,
 n_max, 2)`` view is zero-padding over the flat layout, and every
-replication's slice of the stacked CSR equals the CSR a standalone
-:class:`Topology` would build for it.
+replication's slice of the stacked CSR equals a brute-force
+pairwise-distance CSR of that replication alone.
 """
 
 from __future__ import annotations
@@ -13,13 +13,20 @@ import numpy as np
 import pytest
 
 from repro.network.deployment import DeploymentBatch, DiskDeployment
-from repro.network.topology import (
-    StackedTopology,
-    Topology,
-    build_disk_graph_csr,
-)
+from repro.network.topology import StackedTopology, Topology
 
 SEED = 20050113
+
+
+def brute_force_csr(positions, radius):
+    """CSR of the unit-disk graph from the full pairwise distance matrix."""
+    pos = np.asarray(positions, dtype=float)
+    d2 = ((pos[:, None, :] - pos[None, :, :]) ** 2).sum(-1)
+    adj = d2 <= radius * radius
+    np.fill_diagonal(adj, False)
+    indptr = np.zeros(len(pos) + 1, dtype=np.int64)
+    np.cumsum(adj.sum(axis=1), out=indptr[1:])
+    return indptr, np.nonzero(adj)[1].astype(np.int64)
 
 
 def _batch(n=5, *, population="fixed", rho=20.0):
@@ -104,7 +111,7 @@ class TestStackedTopology:
         stacked = batch.stacked_topology()
         for r, dep in enumerate(batch.deployments):
             indptr, indices = stacked.rep_slice(r)
-            ref_indptr, ref_indices = build_disk_graph_csr(
+            ref_indptr, ref_indices = brute_force_csr(
                 dep.positions, batch.radius
             )
             assert np.array_equal(indptr, ref_indptr)
@@ -115,7 +122,7 @@ class TestStackedTopology:
         stacked = batch.stacked_topology()
         for r, dep in enumerate(batch.deployments):
             indptr, indices = stacked.rep_slice(r)
-            ref_indptr, ref_indices = build_disk_graph_csr(
+            ref_indptr, ref_indices = brute_force_csr(
                 dep.positions, batch.radius
             )
             assert np.array_equal(indptr, ref_indptr)
@@ -140,7 +147,7 @@ class TestStackedTopology:
             lo = int(batch.node_offsets[r])
             hi = int(batch.node_offsets[r + 1])
             e0 = int(c_indptr[lo])
-            ref_indptr, ref_indices = build_disk_graph_csr(
+            ref_indptr, ref_indices = brute_force_csr(
                 dep.positions, stacked.carrier_radius
             )
             assert np.array_equal(c_indptr[lo : hi + 1] - e0, ref_indptr)

@@ -5,9 +5,22 @@ import pytest
 
 from repro.analysis.config import AnalysisConfig
 from repro.network.grid import GridDeployment
+from repro.protocols.base import RelayPolicy
 from repro.protocols.pbcast import SimpleFlooding
 from repro.sim.config import SimulationConfig
-from repro.sim.engine import run_broadcast
+from repro.sim.engine import run_broadcast, run_broadcast_batch
+
+
+class _RecordTopology(RelayPolicy):
+    """Flooding that records the topology view the engine hands it."""
+
+    def __init__(self):
+        self.seen = []
+
+    def schedule(self, new_nodes, senders, rng, ctx):
+        self.seen.append(ctx.topology)
+        n = len(new_nodes)
+        return np.ones(n, dtype=bool), self.random_slots(n, rng, ctx)
 
 
 class TestLattice:
@@ -76,3 +89,21 @@ class TestEngineCompatibility:
         res = run_broadcast(SimpleFlooding(), cfg, 1, deployment=dep)
         assert 0.3 < res.reachability <= 1.0
         assert res.collisions > 0
+
+
+class TestLinkRadius:
+    """The lattice is linked at one radius, whichever path builds it."""
+
+    @pytest.mark.parametrize("spacing", [0.1, 0.3, 0.7, 1.0])
+    def test_batch_engine_sees_every_lattice_edge(self, spacing):
+        dep = GridDeployment(side=21, spacing=spacing)
+        ref = dep.topology()
+        assert ref.n_edges == 2 * 21 * 20
+        policy = _RecordTopology()
+        cfg = SimulationConfig(
+            analysis=AnalysisConfig(n_rings=5, rho=4), channel="cfm", max_phases=3
+        )
+        run_broadcast_batch(policy, cfg, [0], deployments=[dep])
+        seen = policy.seen[0]
+        assert np.array_equal(seen.indptr, ref.indptr)
+        assert np.array_equal(seen.indices, ref.indices)

@@ -183,7 +183,7 @@ class TestNeutrality:
 
 class TestInstrumentation:
     def test_spans_do_not_force_per_run_engine(self, tmp_path):
-        """Unlike slot tracing, span profiling keeps the batched engine."""
+        """Span profiling keeps block dispatch; no per-run span exists."""
         with spans.capture_spans() as buf:
             sweep_grid(CFG, [20.0], [0.5], 4, seed=SEED)
         names = {s.name for s in buf.spans}
@@ -216,11 +216,11 @@ class TestInstrumentation:
     def test_engine_run_spans_and_counters(self):
         with spans.capture_spans() as buf:
             result = run_broadcast(ProbabilisticRelay(0.6), CFG, SEED)
-        (run_span,) = buf.named("engine.run")
+        (run_span,) = buf.named("engine.run_batch")
         (loop_span,) = buf.named("engine.slot_loop")
         assert loop_span.parent_id == run_span.span_id
         assert run_span.counters["collisions"] == float(result.collisions)
-        (deploy,) = buf.named("engine.deploy")
+        (deploy,) = buf.named("engine.deploy_batch")
         assert deploy.counters["nodes"] > 0
 
     def test_warm_store_lookup_counters(self, tmp_path):

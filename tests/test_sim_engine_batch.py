@@ -1,19 +1,24 @@
-"""Cross-engine bit-identity of the replication-batched engine.
+"""Block-composition invariance of the slot engine.
 
-The acceptance oracle of the batched path: for every replication ``r``,
-``run_broadcast_batch(policy, config, seeds)[r]`` must equal
-``run_broadcast(policy, config, seeds[r])`` bit for bit — and, since
-the per-run engine is pinned against the DES reference elsewhere and
-again here, the chain extends to :class:`repro.sim.desimpl`.
+For every replication ``r``, ``run_broadcast_batch(policy, config,
+seeds)[r]`` must equal the one-seed block ``run_broadcast(policy,
+config, seeds[r])`` bit for bit: sharing a block with other
+replications never changes a run.  The one-seed results are pinned to
+committed digests (``tests/test_engine_golden.py``) and checked against
+the DES reference here, so the chain extends to
+:class:`repro.sim.desimpl`.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
 from repro.analysis.config import AnalysisConfig
-from repro.network.deployment import DiskDeployment
+from repro.network.deployment import DeploymentBatch, DiskDeployment
 from repro.protocols.area import DistanceBasedRelay
 from repro.protocols.base import RelayPolicy
 from repro.protocols.counter import CounterBasedRelay
@@ -192,6 +197,30 @@ class TestBitIdentity:
             )
             assert int(batch[r].new_informed_by_slot[k:].sum()) == 0
             assert int(des.new_informed_by_slot[k:].sum()) == 0
+
+
+class TestLifetime:
+    def test_stack_freed_without_cyclic_gc(self, monkeypatch):
+        """A finished block's stacked CSR is freed by reference counting
+        alone: the per-replication views hold arrays, not the stack."""
+        refs = []
+        build = DeploymentBatch.stacked_topology
+
+        def recording(self, **kw):
+            stacked = build(self, **kw)
+            refs.append(weakref.ref(stacked))
+            return stacked
+
+        monkeypatch.setattr(DeploymentBatch, "stacked_topology", recording)
+        gc.disable()
+        try:
+            run_broadcast_batch(
+                NeighborKnowledgeRelay(), _config(carrier_sense=True), _seeds(3)
+            )
+            (ref,) = refs
+            assert ref() is None
+        finally:
+            gc.enable()
 
 
 class TestValidation:

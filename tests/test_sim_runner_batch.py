@@ -2,9 +2,9 @@
 
 Covers the runner-level contracts of the replication-batched engine:
 ``replicate``/``sweep_grid`` results are bit-identical across block
-sizes, telemetry stays neutral on the batched path, traced runs fall
-back to the per-run engine (each replication reports its own event
-stream), and progress accounting stays in run units.
+sizes, telemetry stays neutral on the batched path, traced blocks
+report each replication as its own event stream, and progress
+accounting stays in run units.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import pytest
 from repro.analysis.config import AnalysisConfig
 from repro.errors import ConfigurationError
 from repro.obs import capture, metrics
+from repro.obs.events import RunComplete
 from repro.obs.progress import SweepProgress
 from repro.protocols.pbcast import ProbabilisticRelay
 from repro.sim.config import SimulationConfig
@@ -115,23 +116,20 @@ class TestTelemetryNeutrality:
         assert plain[0].metrics is None
         assert collected[0].metrics
 
-    def test_tracer_falls_back_to_per_run_engine(self, cfg):
-        """With a tracer attached the runner must route every
-        replication through the per-run engine so each run reports its
-        own event stream — and the results stay bit-identical to the
-        batched execution of the same seeds."""
+    def test_traced_blocks_report_per_replication_streams(self, cfg):
+        """A traced block emits each replication's events as one
+        contiguous stream, identical to tracing its runs one by one, and
+        the results stay bit-identical to the untraced block."""
         batched = replicate(ProbabilisticRelay(0.6), cfg, 3, seed=SEED, block_size=3)
         with capture() as buf:
             traced = replicate(
                 ProbabilisticRelay(0.6), cfg, 3, seed=SEED, block_size=3
             )
-        assert len(buf) > 0, "per-run fallback should have emitted events"
+        with capture() as one_by_one:
+            replicate(ProbabilisticRelay(0.6), cfg, 3, seed=SEED, block_size=1)
+        assert len(buf.of_type(RunComplete)) == 3
+        assert buf.events == one_by_one.events
         assert_runs_identical(batched, traced)
-
-    def test_tracer_forces_per_run_resolution(self):
-        with capture():
-            assert _resolve_block_size(8, "vector") == 0
-        assert _resolve_block_size(8, "vector") == 8
 
 
 class TestBlockMachinery:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -232,6 +234,62 @@ class TestFileLock:
 
     def test_release_without_acquire_is_noop(self, tmp_path):
         FileLock(tmp_path / ".lock").release()
+
+    def test_threads_wait_for_the_holder(self, tmp_path):
+        """A second thread blocks until the holder releases, rather than
+        failing with 'already held'."""
+        lock = FileLock(tmp_path / ".lock")
+        order = []
+        with lock:
+            waiter = threading.Thread(target=lambda: _hold(lock, order))
+            waiter.start()
+            waiter.join(timeout=0.2)
+            assert waiter.is_alive()  # blocked on the lock
+            order.append("holder")
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert order == ["holder", "waiter"]
+        assert not lock.held
+
+    def test_threads_put_to_one_shard(self, tmp_path, results):
+        """More writer threads than cores on one shard, with a short
+        switch interval: no put fails and none is lost from the index or
+        the shard journal."""
+        store = ShardedBackend(tmp_path / "s")
+        keys = [f"a{i:063x}" for i in range(48)]  # all in shard "a"
+        n_threads = 4
+        errors = []
+
+        def put(part):
+            try:
+                for key in part:
+                    store.put(key, [results[0]])
+            except Exception as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=put, args=(keys[i::n_threads],))
+            for i in range(n_threads)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert all(store.get(key) is not None for key in keys)
+        journaled = [e["key"] for e in store.shard_journal(keys[0]).entries()]
+        assert sorted(journaled) == keys
+
+
+def _hold(lock, order):
+    with lock:
+        order.append("waiter")
 
 
 class TestCli:
